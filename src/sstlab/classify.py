@@ -186,8 +186,9 @@ def comb_certificate(config: Config, b: EdgeSet) -> CombCertificate | CombFailur
 def _is_comb_fast(config: Config, b: EdgeSet) -> bool:
     """Boolean-only comb test with early exits; equals bool(comb_certificate).
 
-    Exists because theorem sweeps classify every size-(n-1) subset of a
-    configuration, where collecting failure reasons would dominate.
+    Exists because theorem sweeps classify every non-crossing spanning
+    tree of a configuration, where collecting failure reasons would
+    dominate.
     """
     n = config.n
     spine, spine_set, why = _spine_path(config, b)

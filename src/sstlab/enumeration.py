@@ -2,9 +2,9 @@
 
 Everything here is exhaustive and deterministic: enumerate the
 non-crossing spanning trees (optionally diameter-bounded), decide
-whether an edge set blocks a family, and search for all minimum
-blockers by ascending subset size.  Family members are materialized as
-edge bit masks so a blocking test is a disjointness scan with early
+whether an edge set blocks a family, and find all minimum blockers as
+the minimum hitting sets of the family.  Family members are materialized
+as edge bit masks so a blocking test is a disjointness scan with early
 exit.
 
 Size guards keep misuse loud: enumeration is capped at n <= 10 and the
@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .graph import (
@@ -313,61 +312,62 @@ def noncrossing_edge_cover(config: Config, h: EdgeSet) -> EdgeSet | None:
     return None if mask is None else EdgeSet(n, mask)
 
 
-def _blocks_mask(
-    config: Config, mask: int, family_masks: tuple[int, ...] | None, family: Family
-) -> bool:
-    if family_masks is None:
-        h = complement(config, EdgeSet(config.n, mask))
-        return noncrossing_edge_cover(config, h) is None
-    for t in family_masks:
-        if not (t & mask):
-            return False
-    return True
+def _member_index(members: tuple[int, ...], m: int) -> list[int]:
+    """hits[e]: bit j is set when edge e lies in members[j]."""
+    rows = [bytearray((len(members) + 7) >> 3) for _ in range(m)]
+    for j, mask in enumerate(members):
+        for e in _mask_bits(mask):
+            rows[e][j >> 3] |= 1 << (j & 7)
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 @lru_cache(maxsize=64)
 def _minimum_blockers_impl(config: Config, family: Family) -> MinimumBlockers:
     n = config.n
-    pairs = edge_pairs(n)
-    m = len(pairs)
     if family.kind == "spanning_subgraphs":
-        fam: tuple[int, ...] | None = None
+
+        def missed(chosen: int) -> int:
+            cover = noncrossing_edge_cover(config, complement(config, EdgeSet(n, chosen)))
+            return 0 if cover is None else cover.mask
+
     else:
         members = _family_masks(config, _family_diameter(family))
-        # Stars first: they reject non-covering candidates immediately
-        # and are the members a small random subset most often misses.
-        stars = {_star_mask(n, v) for v in range(n)}
-        fam = tuple(t for t in members if t in stars) + tuple(
-            t for t in members if t not in stars
-        )
-    vertex_bits = [(1 << u) | (1 << v) for u, v in pairs]
-    full = (1 << n) - 1
+        hits = _member_index(members, len(edge_pairs(n)))
+        everyone = (1 << len(members)) - 1
 
-    for size in range(1, m + 1):
-        found: list[int] = []
-        for combo in combinations(range(m), size):
-            mask = 0
-            vmask = 0
-            for i in combo:
-                mask |= 1 << i
-                vmask |= vertex_bits[i]
-            # Every family contains all n stars, so a blocker must touch
-            # every vertex; this filter is exact, not heuristic.
-            if vmask != full:
-                continue
-            if _blocks_mask(config, mask, fam, family):
-                found.append(mask)
+        def missed(chosen: int) -> int:
+            unhit = everyone
+            for e in _mask_bits(chosen):
+                unhit &= ~hits[e]
+            return members[(unhit & -unhit).bit_length() - 1] if unhit else 0
+
+    found: list[int] = []
+
+    def search(chosen: int, excluded: int, budget: int) -> None:
+        member = missed(chosen)
+        if not member:
+            found.append(chosen)
+        elif budget:
+            for e in _mask_bits(member & ~excluded):
+                search(chosen | (1 << e), excluded, budget - 1)
+                excluded |= 1 << e
+
+    for size in range(1, len(edge_pairs(n)) + 1):
+        search(0, 0, size)
         if found:
-            return MinimumBlockers(
-                size, tuple(EdgeSet(n, mask) for mask in found)
-            )
+            found.sort(key=_mask_bits)
+            return MinimumBlockers(size, tuple(EdgeSet(n, mask) for mask in found))
     raise AssertionError("unreachable: the complete edge set blocks every family")
 
 
 def minimum_blockers(config: Config, family: Family, force: bool = False) -> MinimumBlockers:
     """The minimum blocker cardinality and every blocker of that size,
-    in canonical order.  Ascends by size and stops at the first size
-    with any hit."""
+    in canonical order (ascending edge-index tuples).
+
+    Iterative deepening on the size k: the search branches on the edges
+    of a member the partial set misses (for SSS, the edge cover of its
+    complement) and excludes the edges of earlier siblings, so at the
+    first k with a hit it reaches each size-k blocker exactly once."""
     _guard(config.n, MIN_BLOCKERS_MAX_N, force, "minimum-blocker search")
     if family.kind != "spanning_subgraphs":
         _guard(config.n, ENUMERATE_MAX_N, force, "enumeration")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable
 
 from .classify import _is_comb_fast, classify, star_center
@@ -156,18 +155,17 @@ def _scenario_prop_size(params: dict) -> list[InstanceResult]:
 
 
 def _classified_masks(config: Config) -> set[int]:
-    """Masks of all size-(n-1) edge subsets classifying star or comb."""
-    n = config.n
-    m = len(edge_pairs(n))
-    out: set[int] = set()
-    for combo in combinations(range(m), n - 1):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        b = EdgeSet(n, mask)
-        if star_center(config, b) is not None or _is_comb_fast(config, b):
-            out.add(mask)
-    return out
+    """Masks of all size-(n-1) edge subsets classifying star or comb.
+
+    Only the non-crossing spanning trees are classified: a star is one,
+    and so is a comb, a spanning caterpillar whose condition 3 (no edge's
+    line meets another edge's open segment) rules out crossings.
+    """
+    return {
+        b.mask
+        for b in enumerate_ssts(config)
+        if star_center(config, b) is not None or _is_comb_fast(config, b)
+    }
 
 
 def _scenario_theorem1(params: dict) -> list[InstanceResult]:

@@ -6,10 +6,11 @@ Criteria, tolerances and suite sizes are pinned here:
 1. minimum diameter-3 blockers have exactly n-1 edges on convex n=3..8
    and 25 seeded random configurations n=4..7 (< 5 min).
 2. minimum spanning-tree blockers coincide exactly with the size-(n-1)
-   subgraphs classifying star-or-comb, same suite capped at n=7
-   (< 10 min).
+   stars and combs, all of which are non-crossing spanning trees; same
+   suite capped at n=7 (< 10 min).
 3. minimum diameter-4 blockers all classify star-or-comb; on convex
-   configurations minimum diameter-3 blockers all classify comb.
+   configurations minimum diameter-3 blockers all classify comb
+   (< 10 min).
 4. every star/comb arising in 2-3 leaves no non-crossing edge cover in
    its complement.
 5. 1000 seeded cone-sweep instances (n <= 12, up to n-2 avoided edges)
@@ -19,8 +20,13 @@ Criteria, tolerances and suite sizes are pinned here:
 7. enumeration counts: convex 3/4/5 -> 3/12/55 (ballot-number formula),
    triangle plus interior point -> 16.
 8. predicate axioms over >= 10^4 seeded random inputs, zero violations.
+
+The default reports of criteria 1-4 and 6 are pinned byte for byte by
+the sha256 digests in GOLDEN.
 """
 
+import hashlib
+import json
 import math
 import random
 import time
@@ -34,6 +40,26 @@ from sstlab import (
     segments_cross,
 )
 from sstlab.scenarios import run_scenario
+
+# sha256 of each default report's to_dict(include_timing=False) as
+# compact sorted-key JSON.  A change meant to alter a report updates its
+# digest in the same commit and says why.
+GOLDEN = {
+    "prop_size": "43c83a2aceff5f7ebbb4fd23a151dc9a7d25c678459c7fb11b46e3d6261d1b60",
+    "theorem1": "d607fa2b668a2966b59f431e687b32cfb7c613a7f3d6c945886fb173ad4bc293",
+    "theorem2": "648c1211c40452b67d8c569d59c5c9c21ddb3cc1229758262c1f159a2520b87b",
+    "theorem3": "81790c8103e028f68a6b2e0d09eeac032340ca97c921ce07393ba22486b92ea1",
+    "theorem4": "54faf2ff2c7703b080957c34ec06979407e6819b81068b2cf78e9a5db6354f01",
+    "fig7": "e3db62550b3d979568651e34bf38c9b822d4d21879ba9565852c6c2aba096219",
+}
+
+
+def _assert_golden(report) -> None:
+    text = json.dumps(
+        report.to_dict(include_timing=False), sort_keys=True, separators=(",", ":")
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN[report.scenario], f"{report.scenario} report changed"
 
 
 def _report(criterion: int, label: str, passed: bool, elapsed: float) -> None:
@@ -56,6 +82,8 @@ def _run(criterion: int, label: str, scenario: str, budget: float, **params) -> 
         print("failures:", failures[:5])
     _report(criterion, label, report.passed and not failures, elapsed)
     assert elapsed < budget, f"criterion {criterion} exceeded {budget}s budget"
+    if not params:
+        _assert_golden(report)
 
 
 def test_criterion_1_minimum_t3_blocker_size():
@@ -70,7 +98,7 @@ def test_criterion_1_minimum_t3_blocker_size():
 def test_criterion_2_sst_blockers_equal_stars_and_combs():
     _run(
         2,
-        "minimum SST blockers = size-(n-1) stars and combs, both directions",
+        "minimum SST blockers = stars and combs among the SSTs, both directions",
         "theorem1",
         budget=600.0,
     )
@@ -87,6 +115,9 @@ def test_criterion_3_t4_and_convex_t3_classification():
         t4.passed and convex_t3.passed,
         elapsed,
     )
+    assert elapsed < 600.0, "criterion 3 exceeded 600.0s budget"
+    _assert_golden(t4)
+    _assert_golden(convex_t3)
 
 
 def test_criterion_4_stars_and_combs_block_all_spanning_subgraphs():
@@ -114,6 +145,7 @@ def test_criterion_6_counterexample_fixture():
     elapsed = time.perf_counter() - start
     _report(6, "stored 7-point counterexample verifies", report.passed, elapsed)
     assert elapsed < 1.0
+    _assert_golden(report)
 
 
 def test_criterion_7_enumeration_counts():

@@ -84,6 +84,34 @@ T4 = Family.trees_diam_at_most(4)
 SST = Family.spanning_trees()
 SSS = Family.spanning_subgraphs()
 
+_INSTANCES = {"random": random_instance, "convex": convex_instance}
+
+
+def _scan_minimum_blockers(config, family):
+    """Reference for the minimum-blocker search: test every edge subset,
+    ascending by size; (size, blockers in canonical order).  Tree
+    families test disjointness from each listed member, SSS asks
+    blocks()."""
+    n = config.n
+    m = n * (n - 1) // 2
+    if family == SSS:
+        members = None
+    else:
+        members = [t.mask for t in enumerate_ssts(config, max_diameter=family.k)]
+    for s in range(1, m + 1):
+        hits = []
+        for combo in combinations(range(m), s):
+            b = EdgeSet(n, sum(1 << i for i in combo))
+            if members is None:
+                blocked = blocks(config, b, family).blocks
+            else:
+                blocked = all(t & b.mask for t in members)
+            if blocked:
+                hits.append(b)
+        if hits:
+            return s, hits
+    raise AssertionError("no blocker found by the subset scan")
+
 
 class TestEnumerate:
     def test_k3(self, triangle):
@@ -325,25 +353,32 @@ class TestMinimumBlockers:
             minimum_blockers(config, T3)
 
     @pytest.mark.parametrize(
-        "n,seed,family", [(5, 3, T4), (5, 9, SST), (4, 6, SSS)]
+        "kind,n,seed,family",
+        [
+            pytest.param(kind, n, seed, family, id=f"{kind}-{n}-{seed}-{family.describe()}")
+            for kind, n, seed in [
+                ("random", 4, 6), ("random", 5, 3), ("random", 5, 9), ("random", 6, 1),
+                ("convex", 4, 0), ("convex", 5, 0), ("convex", 6, 0),
+            ]
+            for family in (T3, T4, SST, SSS)
+        ],
     )
-    def test_matches_per_subset_blocks_scan(self, n, seed, family):
-        # slow route: ask blocks() about every subset, ascending by size
-        config = random_instance(n, seed).config()
+    def test_matches_per_subset_blocks_scan(self, kind, n, seed, family):
+        config = _INSTANCES[kind](n, seed).config()
         fast = minimum_blockers(config, family)
-        m = n * (n - 1) // 2
-        for s in range(1, m + 1):
-            hits = []
-            for combo in combinations(range(m), s):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                if blocks(config, EdgeSet(n, mask), family).blocks:
-                    hits.append(EdgeSet(n, mask))
-            if hits:
-                assert (fast.size, list(fast.blockers)) == (s, hits)
-                return
-        pytest.fail("no blocker found by the slow route")
+        assert (fast.size, list(fast.blockers)) == _scan_minimum_blockers(config, family)
+
+    @given(
+        st.sampled_from(sorted(_INSTANCES)),
+        st.integers(4, 6),
+        st.integers(0, 200),
+        st.sampled_from([T3, T4, SST, SSS]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_matches_subset_scan_property(self, kind, n, seed, family):
+        config = _INSTANCES[kind](n, seed).config()
+        fast = minimum_blockers(config, family)
+        assert (fast.size, list(fast.blockers)) == _scan_minimum_blockers(config, family)
 
 
 class TestConvexCounts:

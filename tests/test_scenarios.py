@@ -1,10 +1,13 @@
 import json
+from itertools import combinations
 
 import pytest
 
 import sstlab.scenarios as scenarios
-from sstlab import parse_instance
+from sstlab import EdgeSet, parse_instance
+from sstlab.classify import _is_comb_fast, star_center
 from sstlab.enumeration import MinimumBlockers
+from sstlab.instances import convex_instance, random_instance
 from sstlab.scenarios import run_scenario, scenario_names
 
 
@@ -111,3 +114,19 @@ class TestFailurePayloads:
             if not a.passed
         ]
         assert failing and "expected" in failing[0].detail
+
+
+class TestClassifiedMasks:
+    @pytest.mark.parametrize("make", [random_instance, convex_instance])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_all_subsets_scan(self, make, n, seed):
+        # reference: classify every (n-1)-edge subset, not only the SSTs
+        config = make(n, seed).config()
+        m = n * (n - 1) // 2
+        expected = set()
+        for combo in combinations(range(m), n - 1):
+            b = EdgeSet(n, sum(1 << i for i in combo))
+            if star_center(config, b) is not None or _is_comb_fast(config, b):
+                expected.add(b.mask)
+        assert scenarios._classified_masks(config) == expected
