@@ -22,8 +22,6 @@ from .graph import (
     TreeAnalysis,
     analyze_tree,
     boundary_edges,
-    complement,
-    complete_edges,
     edge,
     is_noncrossing,
 )
@@ -56,6 +54,7 @@ from .constructions import (
     cone_sweep_sst3_witness,
     max_angle_vertex,
     separated_pair_sst3,
+    validate_boundary_leaf,
     validate_separated_pair,
 )
 from .instances import (

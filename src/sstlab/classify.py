@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Config, Edge, EdgeSet, boundary_edges
+from .graph import Config, Edge, EdgeSet, boundary_edges, walk_path
 from .geometry import line_meets_open_segment
 
 
@@ -88,24 +88,15 @@ def _spine_path(config: Config, b: EdgeSet) -> tuple[tuple[int, ...] | None, Edg
     for u, v in spine_set:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    ends = sorted(v for v, ws in adj.items() if len(ws) == 1)
+    ends = [v for v, ws in adj.items() if len(ws) == 1]
     if not ends:
         return None, spine_set, "boundary intersection is the full hull cycle"
     if len(ends) != 2:
         return None, spine_set, "boundary intersection splits into several arcs"
-    seq = [ends[0]]
-    prev = -1
-    while True:
-        nxt = [w for w in adj[seq[-1]] if w != prev]
-        if not nxt:
-            break
-        prev = seq[-1]
-        seq.append(nxt[0])
+    seq = walk_path(adj, ends[0])
     if len(seq) != len(adj):
         return None, spine_set, "boundary intersection splits into several arcs"
-    if seq[0] > seq[-1]:
-        seq.reverse()
-    return tuple(seq), spine_set, None
+    return seq, spine_set, None
 
 
 def comb_certificate(config: Config, b: EdgeSet) -> CombCertificate | CombFailure:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -16,6 +17,8 @@ from .constructions import (
     PreconditionError,
     boundary_leaf_sst4,
     cone_sweep_sst3,
+    find_leaf4_args,
+    sample_separated_pair,
     separated_pair_sst3,
 )
 from .enumeration import (
@@ -28,13 +31,7 @@ from .enumeration import (
 from .graph import EdgeSet, analyze_tree, is_noncrossing
 from .instances import Instance, InstanceError, parse_instance
 from .render import render_svg
-from .scenarios import (
-    _DEFAULTS,
-    _find_leaf4_args,
-    _sample_separated_pair,
-    run_scenario,
-    scenario_names,
-)
+from .scenarios import run_scenario, scenario_names
 
 _FAMILIES = {
     "t3": Family.trees_diam_at_most(3),
@@ -131,9 +128,7 @@ def _cmd_construct(args) -> int:
         tree = cone_sweep_sst3(config, avoid)
         bound = 3
     elif args.mode == "pair":
-        import random
-
-        pair = _sample_separated_pair(config, avoid, random.Random(args.seed))
+        pair = sample_separated_pair(config, avoid, random.Random(args.seed))
         if pair is None:
             raise InstanceError(
                 "no valid separated pair found for this instance and seed"
@@ -141,7 +136,7 @@ def _cmd_construct(args) -> int:
         tree = separated_pair_sst3(config, avoid, pair)
         bound = 3
     else:  # leaf4
-        found = _find_leaf4_args(config, avoid)
+        found = find_leaf4_args(config, avoid)
         if found is None:
             raise InstanceError("no hull vertex with a free boundary edge qualifies")
         tree = boundary_leaf_sst4(config, avoid, *found)
@@ -161,17 +156,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {}
-    accepted = _DEFAULTS[args.scenario] if args.scenario in _DEFAULTS else {}
-    for key in ("seed", "trials", "max_n"):
-        value = getattr(args, key)
-        if value is not None:
-            if key not in accepted:
-                raise InstanceError(
-                    f"scenario {args.scenario!r} does not take --{key.replace('_', '-')}"
-                )
-            overrides[key] = value
-    report = run_scenario(args.scenario, **overrides)
+    report = run_scenario(
+        args.scenario, seed=args.seed, trials=args.trials, max_n=args.max_n
+    )
     _emit(report.to_dict())
     return 0 if report.passed else 1
 

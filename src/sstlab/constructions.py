@@ -12,15 +12,16 @@ trigonometry.  Ties cannot occur under general position.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .geometry import Point, segments_cross, side_of_line
 from .graph import (
     Config,
     EdgeSet,
-    boundary_edges,
     component_labels,
     edge,
+    star,
 )
 
 
@@ -80,10 +81,6 @@ def _ccw_angle_less(base: tuple[int, int], d1: tuple[int, int], d2: tuple[int, i
     return _cross(d1, d2) > 0
 
 
-def _star_edge_set(n: int, center: int) -> EdgeSet:
-    return EdgeSet.from_pairs(n, (edge(center, v) for v in range(n) if v != center))
-
-
 def cone_sweep_sst3(config: Config, avoid: EdgeSet) -> EdgeSet:
     tree, _ = cone_sweep_sst3_witness(config, avoid)
     return tree
@@ -127,8 +124,7 @@ def cone_sweep_sst3_witness(config: Config, avoid: EdgeSet) -> tuple[EdgeSet, Co
     comp = min(tree_comps, key=min)
 
     if len(comp) == 1:
-        center = comp[0]
-        return _star_edge_set(n, center), None
+        return star(n, comp[0]), None
 
     in_comp = set(comp)
     adj: dict[int, list[int]] = {v: [] for v in comp}
@@ -228,6 +224,34 @@ def validate_separated_pair(config: Config, avoid: EdgeSet, pair: SeparatedPair)
             )
 
 
+def sample_separated_pair(
+    config: Config, avoid: EdgeSet, rng: random.Random
+) -> SeparatedPair | None:
+    """Rejection sampling of a valid separated pair, None after 80
+    failed attempts: random vertex pair, candidate line through integer
+    points a + k*rot(d), b - k*rot(d) (a tilted cut through the midpoint
+    of [a,b], exactly representable for any coordinates)."""
+    n = config.n
+    pts = config.points
+    for _ in range(80):
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        if a == b or edge(a, b) in avoid:
+            continue
+        dx = pts[b][0] - pts[a][0]
+        dy = pts[b][1] - pts[a][1]
+        k = rng.choice((1, -1, 2, -2, 3, -3, 8, -8))
+        p = (pts[a][0] - k * dy, pts[a][1] + k * dx)
+        q = (pts[b][0] + k * dy, pts[b][1] - k * dx)
+        pair = SeparatedPair(a, b, (p, q))
+        try:
+            validate_separated_pair(config, avoid, pair)
+        except PreconditionError:
+            continue
+        return pair
+    return None
+
+
 def separated_pair_sst3(config: Config, avoid: EdgeSet, pair: SeparatedPair) -> EdgeSet:
     """Join the separated pair and hang every other vertex off its own
     side's endpoint; the result is non-crossing, spans, has diameter
@@ -259,6 +283,45 @@ def separated_pair_sst3(config: Config, avoid: EdgeSet, pair: SeparatedPair) -> 
     return EdgeSet.from_pairs(n, tree)
 
 
+def validate_boundary_leaf(config: Config, avoid: EdgeSet, tip: int, anchor: int) -> None:
+    """Check the pended-leaf hypotheses, raising PreconditionError
+    naming the first failing condition: tip is a hull vertex joined to
+    anchor by a boundary edge outside the avoided set, and at most n-3
+    avoided edges miss the tip."""
+    n = config.n
+    if n < 4:
+        raise PreconditionError("need at least 4 vertices to drop one")
+    if tip == anchor or not (0 <= tip < n and 0 <= anchor < n):
+        raise PreconditionError(f"invalid vertex pair ({tip}, {anchor})")
+    hull = config.hull
+    if tip not in hull:
+        raise PreconditionError(f"vertex {tip} is not a hull vertex")
+    i = hull.index(tip)
+    if anchor not in (hull[i - 1], hull[(i + 1) % len(hull)]):
+        raise PreconditionError(f"edge ({anchor},{tip}) is not a boundary edge")
+    if edge(tip, anchor) in avoid:
+        raise PreconditionError(f"edge ({anchor},{tip}) is in the avoided set")
+    restricted = sum(1 for u, v in avoid if u != tip and v != tip)
+    if restricted > n - 3:
+        raise PreconditionError(
+            f"avoided set restricted to the other {n - 1} vertices has "
+            f"{restricted} edges; at most {n - 3} allowed"
+        )
+
+
+def find_leaf4_args(config: Config, avoid: EdgeSet) -> tuple[int, int] | None:
+    """First (tip, anchor) in canonical order satisfying the pended-leaf
+    preconditions, or None."""
+    for tip in sorted(config.hull):
+        for anchor in range(config.n):
+            try:
+                validate_boundary_leaf(config, avoid, tip, anchor)
+            except PreconditionError:
+                continue
+            return tip, anchor
+    return None
+
+
 def boundary_leaf_sst4(config: Config, avoid: EdgeSet, tip: int, anchor: int) -> EdgeSet:
     """A diameter-<=4 avoiding tree when a hull vertex can be pended off
     by a free boundary edge.
@@ -267,28 +330,14 @@ def boundary_leaf_sst4(config: Config, avoid: EdgeSet, tip: int, anchor: int) ->
     via the cone sweep, then reattach the tip along the boundary edge --
     a boundary edge crosses nothing, so simplicity survives.
     """
+    validate_boundary_leaf(config, avoid, tip, anchor)
     n = config.n
-    if n < 4:
-        raise PreconditionError("need at least 4 vertices to drop one")
-    if tip == anchor or not (0 <= tip < n and 0 <= anchor < n):
-        raise PreconditionError(f"invalid vertex pair ({tip}, {anchor})")
-    if tip not in config.hull:
-        raise PreconditionError(f"vertex {tip} is not a hull vertex")
-    if edge(tip, anchor) not in boundary_edges(config):
-        raise PreconditionError(f"edge ({anchor},{tip}) is not a boundary edge")
-    if edge(tip, anchor) in avoid:
-        raise PreconditionError(f"edge ({anchor},{tip}) is in the avoided set")
     keep = [v for v in range(n) if v != tip]
     old_of_new = {new: old for new, old in enumerate(keep)}
     new_of_old = {old: new for new, old in old_of_new.items()}
     restricted = [
         edge(new_of_old[u], new_of_old[v]) for u, v in avoid if u != tip and v != tip
     ]
-    if len(restricted) > n - 3:
-        raise PreconditionError(
-            f"avoided set restricted to the other {n - 1} vertices has "
-            f"{len(restricted)} edges; at most {n - 3} allowed"
-        )
     sub = Config.from_points([config.points[v] for v in keep])
     inner = cone_sweep_sst3(sub, EdgeSet.from_pairs(n - 1, restricted))
     tree = [edge(old_of_new[u], old_of_new[v]) for u, v in inner]

@@ -21,10 +21,11 @@ from typing import Iterator, NamedTuple
 from .graph import (
     Config,
     EdgeSet,
-    complement,
+    bits,
     crossing_masks,
     edge_index,
     edge_pairs,
+    star,
 )
 
 ENUMERATE_MAX_N = 10
@@ -94,9 +95,9 @@ def _guard(n: int, bound: int, force: bool, what: str) -> None:
         )
 
 
-def _tree_diameter(n: int, bits: list[int], pairs) -> int:
+def _tree_diameter(n: int, edge_ids: list[int], pairs) -> int:
     adj: list[list[int]] = [[] for _ in range(n)]
-    for i in bits:
+    for i in edge_ids:
         u, v = pairs[i]
         adj[u].append(v)
         adj[v].append(u)
@@ -119,15 +120,6 @@ def _tree_diameter(n: int, bits: list[int], pairs) -> int:
     far, _ = sweep(0)
     _, diameter = sweep(far)
     return diameter
-
-
-def _mask_bits(mask: int) -> list[int]:
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return bits
 
 
 def _iter_tree_masks(config: Config) -> Iterator[int]:
@@ -170,14 +162,6 @@ def _iter_tree_masks(config: Config) -> Iterator[int]:
     yield from rec(0, 0, 0, 0, list(range(n)))
 
 
-def _star_mask(n: int, center: int) -> int:
-    mask = 0
-    for v in range(n):
-        if v != center:
-            mask |= 1 << edge_index(n, center, v)
-    return mask
-
-
 def _diam_le3_masks(config: Config, max_diameter: int) -> list[int]:
     """Direct construction of all non-crossing spanning trees of
     diameter <= 3: the n stars, plus one tree per (central edge,
@@ -188,7 +172,7 @@ def _diam_le3_masks(config: Config, max_diameter: int) -> list[int]:
     """
     n = config.n
     cross = crossing_masks(config)
-    out = [_star_mask(n, v) for v in range(n)]
+    out = [star(n, v).mask for v in range(n)]
     if max_diameter >= 3:
         pairs = edge_pairs(n)
         for ei, (x, y) in enumerate(pairs):
@@ -206,7 +190,7 @@ def _diam_le3_masks(config: Config, max_diameter: int) -> list[int]:
                     mask |= 1 << idx
                 if ok:
                     out.append(mask)
-    out.sort(key=_mask_bits)
+    out.sort(key=bits)
     return out
 
 
@@ -222,7 +206,7 @@ def _compute_family_masks(config: Config, max_diameter: int | None) -> Iterator[
         yield from _iter_tree_masks(config)
         return
     for mask in _iter_tree_masks(config):
-        if _tree_diameter(n, _mask_bits(mask), pairs) <= max_diameter:
+        if _tree_diameter(n, bits(mask), pairs) <= max_diameter:
             yield mask
 
 
@@ -262,11 +246,16 @@ def blocks(config: Config, b: EdgeSet, family: Family, force: bool = False) -> B
     spanning-subgraph family reduces to an edge-cover search on the
     complement: an avoiding member exists iff the complement contains a
     non-crossing edge set covering every vertex.
+
+    t3 and smaller families come from a cache, but t4 and sst re-run
+    the SST recursion on every call, so early exit pays off for a single
+    query.  A caller asking about many sets should list the members once
+    with enumerate_ssts and scan them.
     """
     if b.n != config.n:
         raise ValueError("edge set belongs to a different vertex count")
     if family.kind == "spanning_subgraphs":
-        witness = noncrossing_edge_cover(config, complement(config, b))
+        witness = noncrossing_edge_cover(config, b.complement())
         return BlockReport(witness is None, witness)
     _guard(config.n, ENUMERATE_MAX_N, force, "enumeration")
     bmask = b.mask
@@ -287,7 +276,7 @@ def noncrossing_edge_cover(config: Config, h: EdgeSet) -> EdgeSet | None:
     cross = crossing_masks(config)
     pairs = edge_pairs(n)
     incident: list[list[int]] = [[] for _ in range(n)]
-    for i in _mask_bits(h.mask):
+    for i in bits(h.mask):
         u, v = pairs[i]
         incident[u].append(i)
         incident[v].append(i)
@@ -316,7 +305,7 @@ def _member_index(members: tuple[int, ...], m: int) -> list[int]:
     """hits[e]: bit j is set when edge e lies in members[j]."""
     rows = [bytearray((len(members) + 7) >> 3) for _ in range(m)]
     for j, mask in enumerate(members):
-        for e in _mask_bits(mask):
+        for e in bits(mask):
             rows[e][j >> 3] |= 1 << (j & 7)
     return [int.from_bytes(row, "little") for row in rows]
 
@@ -327,7 +316,7 @@ def _minimum_blockers_impl(config: Config, family: Family) -> MinimumBlockers:
     if family.kind == "spanning_subgraphs":
 
         def missed(chosen: int) -> int:
-            cover = noncrossing_edge_cover(config, complement(config, EdgeSet(n, chosen)))
+            cover = noncrossing_edge_cover(config, EdgeSet(n, chosen).complement())
             return 0 if cover is None else cover.mask
 
     else:
@@ -337,7 +326,7 @@ def _minimum_blockers_impl(config: Config, family: Family) -> MinimumBlockers:
 
         def missed(chosen: int) -> int:
             unhit = everyone
-            for e in _mask_bits(chosen):
+            for e in bits(chosen):
                 unhit &= ~hits[e]
             return members[(unhit & -unhit).bit_length() - 1] if unhit else 0
 
@@ -348,14 +337,14 @@ def _minimum_blockers_impl(config: Config, family: Family) -> MinimumBlockers:
         if not member:
             found.append(chosen)
         elif budget:
-            for e in _mask_bits(member & ~excluded):
+            for e in bits(member & ~excluded):
                 search(chosen | (1 << e), excluded, budget - 1)
                 excluded |= 1 << e
 
     for size in range(1, len(edge_pairs(n)) + 1):
         search(0, 0, size)
         if found:
-            found.sort(key=_mask_bits)
+            found.sort(key=bits)
             return MinimumBlockers(size, tuple(EdgeSet(n, mask) for mask in found))
     raise AssertionError("unreachable: the complete edge set blocks every family")
 

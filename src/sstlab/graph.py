@@ -48,6 +48,16 @@ def edge_index(n: int, u: int, v: int) -> int:
     return _edge_index(n)[edge(u, v)]
 
 
+def bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class EdgeSet:
     """A set of canonical edges over n vertices, stored as a bit mask.
@@ -92,11 +102,7 @@ class EdgeSet:
 
     def __iter__(self) -> Iterator[Edge]:
         table = edge_pairs(self.n)
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield table[low.bit_length() - 1]
-            mask ^= low
+        return (table[i] for i in bits(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -166,8 +172,9 @@ class Config:
         return EdgeSet.from_pairs(self.n, pairs)
 
 
-def complete_edges(config: Config) -> EdgeSet:
-    return EdgeSet.complete(config.n)
+def star(n: int, center: int) -> EdgeSet:
+    """The n-1 edges at one vertex."""
+    return EdgeSet.from_pairs(n, ((center, v) for v in range(n) if v != center))
 
 
 def boundary_edges(config: Config) -> EdgeSet:
@@ -198,19 +205,10 @@ def is_noncrossing(config: Config, edges: EdgeSet) -> bool:
     """True iff no two member edges cross (open-segment test)."""
     cross = crossing_masks(config)
     mask = edges.mask
-    remaining = mask
-    while remaining:
-        low = remaining & -remaining
-        if cross[low.bit_length() - 1] & mask:
+    for i in bits(mask):
+        if cross[i] & mask:
             return False
-        remaining ^= low
     return True
-
-
-def complement(config: Config, edges: EdgeSet) -> EdgeSet:
-    if edges.n != config.n:
-        raise ValueError("edge set belongs to a different vertex count")
-    return edges.complement()
 
 
 def component_labels(n: int, pairs: Iterable[Edge]) -> list[int]:
@@ -270,6 +268,23 @@ def _bfs(adj: list[list[int]], start: int) -> tuple[list[int], list[int]]:
     return dist, parent
 
 
+def walk_path(adj: dict[int, list[int]], start: int) -> tuple[int, ...]:
+    """The vertices of the path through adj that ends at start, in
+    order, oriented so that the first vertex is below the last.  Every
+    vertex on the path has degree <= 2 in adj."""
+    seq = [start]
+    prev = -1
+    while True:
+        nxt = [w for w in adj[seq[-1]] if w != prev]
+        if not nxt:
+            break
+        prev = seq[-1]
+        seq.append(nxt[0])
+    if seq[0] > seq[-1]:
+        seq.reverse()
+    return tuple(seq)
+
+
 def analyze_tree(config: Config, edges: EdgeSet) -> TreeAnalysis:
     """Spanning/diameter/caterpillar analysis of an edge set.
 
@@ -304,19 +319,8 @@ def analyze_tree(config: Config, edges: EdgeSet) -> TreeAnalysis:
 
     derived_path: tuple[int, ...] = ()
     if is_caterpillar and len(derived_vertices) >= 2:
-        ends = [v for v in derived_vertices if len(derived_adj[v]) <= 1]
-        start = min(ends)
-        seq = [start]
-        prev = -1
-        while True:
-            nxt = [w for w in derived_adj[seq[-1]] if w != prev]
-            if not nxt:
-                break
-            prev = seq[-1]
-            seq.append(nxt[0])
-        if seq[0] > seq[-1]:
-            seq.reverse()
-        derived_path = tuple(seq)
+        end = next(v for v in derived_vertices if len(derived_adj[v]) <= 1)
+        derived_path = walk_path(derived_adj, end)
 
     spine: tuple[int, ...] | None = None
     central: Edge | None = None

@@ -24,7 +24,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .geometry import COORD_BOUND, Point, orient
+from .geometry import COORD_BOUND, Point, find_general_position_violation, orient
 from .graph import Config, EdgeSet
 
 
@@ -92,17 +92,13 @@ def parse_instance(text: str) -> Instance:
         )
         points.append(Point(x, y))
 
-    seen: dict[Point, int] = {}
-    for i, p in enumerate(points):
-        if p in seen:
-            raise InstanceError(f"points[{i}] duplicates points[{seen[p]}]")
-        seen[p] = i
+    violation = find_general_position_violation(points)
+    if violation is not None and violation.kind == "duplicate":
+        first, later = violation.indices
+        raise InstanceError(f"points[{later}] duplicates points[{first}]")
+    if violation is not None:
+        raise InstanceError(violation.describe())
     n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orient(points[i], points[j], points[k]) == 0:
-                    raise InstanceError(f"points {i}, {j}, {k} are collinear")
 
     edge_sets: dict[str, EdgeSet] = {}
     raw_edges = doc.get("edges", {})

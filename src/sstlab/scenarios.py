@@ -16,13 +16,12 @@ from typing import Callable
 
 from .classify import _is_comb_fast, classify, star_center
 from .constructions import (
-    PreconditionError,
-    SeparatedPair,
     boundary_leaf_sst4,
     central_edge_obstruction,
     cone_sweep_sst3,
+    find_leaf4_args,
+    sample_separated_pair,
     separated_pair_sst3,
-    validate_separated_pair,
 )
 from .enumeration import (
     Family,
@@ -36,9 +35,6 @@ from .graph import (
     Config,
     EdgeSet,
     analyze_tree,
-    boundary_edges,
-    complement,
-    edge,
     edge_pairs,
     is_noncrossing,
 )
@@ -112,46 +108,55 @@ T3 = Family.trees_diam_at_most(3)
 T4 = Family.trees_diam_at_most(4)
 
 
-def _convex_suite(seed: int, sizes, max_n: int) -> list[tuple[str, Instance]]:
-    return [
+def _suite(params: dict) -> list[tuple[str, Instance]]:
+    """The seeded convex instances, then the seeded random ones (when
+    the scenario takes random_count), of at most max_n points."""
+    seed, max_n = params["seed"], params["max_n"]
+    out = [
         (f"convex-n{k}", convex_instance(k, seed * 100 + k))
-        for k in sizes
+        for k in params["convex_sizes"]
         if k <= max_n
     ]
-
-
-def _random_suite(seed: int, count: int, sizes, max_n: int) -> list[tuple[str, Instance]]:
-    out = []
-    for i in range(count):
-        n = sizes[i % len(sizes)]
+    for i in range(params.get("random_count", 0)):
+        n = params["random_sizes"][i % len(params["random_sizes"])]
         if n > max_n:
             continue
         out.append((f"random-{i}-n{n}", random_instance(n, seed * 1000 + 37 * i + n)))
     return out
 
 
+def _suite_scenario(
+    check: Callable[[InstanceResult, Instance, Config], None]
+) -> Callable[[dict], list[InstanceResult]]:
+    """A scenario that runs check on each instance of the suite."""
+
+    def scenario(params: dict) -> list[InstanceResult]:
+        results = []
+        for label, inst in _suite(params):
+            res = InstanceResult(label)
+            check(res, inst, inst.config())
+            results.append(res)
+        return results
+
+    return scenario
+
+
 def _payload(instance: Instance, **edge_sets: EdgeSet) -> Instance:
     return Instance(points=instance.points, edge_sets=dict(edge_sets), name="failure")
 
 
-def _scenario_prop_size(params: dict) -> list[InstanceResult]:
-    suite = _convex_suite(params["seed"], params["convex_sizes"], params["max_n"])
-    suite += _random_suite(
-        params["seed"], params["random_count"], params["random_sizes"], params["max_n"]
+def _star_or_comb(config: Config, b: EdgeSet) -> bool:
+    return star_center(config, b) is not None or _is_comb_fast(config, b)
+
+
+def _check_prop_size(res: InstanceResult, inst: Instance, config: Config) -> None:
+    found = minimum_blockers(config, T3)
+    res.check(
+        "t3-min-blocker-size-is-n-1",
+        found.size == config.n - 1,
+        f"size={found.size}, expected={config.n - 1}",
+        _payload(inst, B=found.blockers[0]) if found.blockers else None,
     )
-    results = []
-    for label, inst in suite:
-        res = InstanceResult(label)
-        config = inst.config()
-        found = minimum_blockers(config, T3)
-        res.check(
-            "t3-min-blocker-size-is-n-1",
-            found.size == config.n - 1,
-            f"size={found.size}, expected={config.n - 1}",
-            _payload(inst, B=found.blockers[0]) if found.blockers else None,
-        )
-        results.append(res)
-    return results
 
 
 def _classified_masks(config: Config) -> set[int]:
@@ -161,130 +166,81 @@ def _classified_masks(config: Config) -> set[int]:
     and so is a comb, a spanning caterpillar whose condition 3 (no edge's
     line meets another edge's open segment) rules out crossings.
     """
-    return {
-        b.mask
-        for b in enumerate_ssts(config)
-        if star_center(config, b) is not None or _is_comb_fast(config, b)
-    }
+    return {b.mask for b in enumerate_ssts(config) if _star_or_comb(config, b)}
 
 
-def _scenario_theorem1(params: dict) -> list[InstanceResult]:
-    suite = _convex_suite(params["seed"], params["convex_sizes"], params["max_n"])
-    suite += _random_suite(
-        params["seed"], params["random_count"], params["random_sizes"], params["max_n"]
+def _check_theorem1(res: InstanceResult, inst: Instance, config: Config) -> None:
+    n = config.n
+    found = minimum_blockers(config, SST)
+    res.check(
+        "sst-min-blocker-size-is-n-1",
+        found.size == n - 1,
+        f"size={found.size}",
     )
-    results = []
-    for label, inst in suite:
-        res = InstanceResult(label)
-        config = inst.config()
-        n = config.n
-        found = minimum_blockers(config, SST)
-        res.check(
-            "sst-min-blocker-size-is-n-1",
-            found.size == n - 1,
-            f"size={found.size}",
-        )
-        blocker_masks = {b.mask for b in found.blockers}
-        classified = _classified_masks(config)
-        unclassified = blocker_masks - classified
-        res.check(
-            "every-blocker-classifies-star-or-comb",
-            not unclassified,
-            f"{len(unclassified)} blockers classify as neither",
-            _payload(inst, B=EdgeSet(n, min(unclassified))) if unclassified else None,
-        )
-        extra = classified - blocker_masks
-        res.check(
-            "every-star-or-comb-blocks",
-            not extra,
-            f"{len(extra)} classified subgraphs are not minimum blockers",
-            _payload(inst, B=EdgeSet(n, min(extra))) if extra else None,
-        )
-        results.append(res)
-    return results
-
-
-def _scenario_theorem2(params: dict) -> list[InstanceResult]:
-    suite = _convex_suite(params["seed"], params["convex_sizes"], params["max_n"])
-    suite += _random_suite(
-        params["seed"], params["random_count"], params["random_sizes"], params["max_n"]
+    blocker_masks = {b.mask for b in found.blockers}
+    classified = _classified_masks(config)
+    unclassified = blocker_masks - classified
+    res.check(
+        "every-blocker-classifies-star-or-comb",
+        not unclassified,
+        f"{len(unclassified)} blockers classify as neither",
+        _payload(inst, B=EdgeSet(n, min(unclassified))) if unclassified else None,
     )
-    results = []
-    for label, inst in suite:
-        res = InstanceResult(label)
-        config = inst.config()
-        found = minimum_blockers(config, T4)
-        bad = [
-            b
-            for b in found.blockers
-            if star_center(config, b) is None and not _is_comb_fast(config, b)
-        ]
-        res.check(
-            "t4-min-blockers-classify-star-or-comb",
-            not bad,
-            f"{len(bad)} of {len(found.blockers)} classify as neither",
-            _payload(inst, B=bad[0]) if bad else None,
-        )
-        results.append(res)
-    return results
+    extra = classified - blocker_masks
+    res.check(
+        "every-star-or-comb-blocks",
+        not extra,
+        f"{len(extra)} classified subgraphs are not minimum blockers",
+        _payload(inst, B=EdgeSet(n, min(extra))) if extra else None,
+    )
 
 
-def _scenario_theorem3(params: dict) -> list[InstanceResult]:
-    suite = _convex_suite(params["seed"], params["convex_sizes"], params["max_n"])
-    results = []
-    for label, inst in suite:
-        res = InstanceResult(label)
-        config = inst.config()
-        found = minimum_blockers(config, T3)
-        bad = [b for b in found.blockers if not _is_comb_fast(config, b)]
-        res.check(
-            "convex-t3-min-blockers-are-combs",
-            not bad,
-            f"{len(bad)} of {len(found.blockers)} are not combs",
-            _payload(inst, B=bad[0]) if bad else None,
-        )
-        results.append(res)
-    return results
+def _check_theorem2(res: InstanceResult, inst: Instance, config: Config) -> None:
+    found = minimum_blockers(config, T4)
+    bad = [b for b in found.blockers if not _star_or_comb(config, b)]
+    res.check(
+        "t4-min-blockers-classify-star-or-comb",
+        not bad,
+        f"{len(bad)} of {len(found.blockers)} classify as neither",
+        _payload(inst, B=bad[0]) if bad else None,
+    )
 
 
-def _scenario_theorem4(params: dict) -> list[InstanceResult]:
+def _check_theorem3(res: InstanceResult, inst: Instance, config: Config) -> None:
+    found = minimum_blockers(config, T3)
+    bad = [b for b in found.blockers if not _is_comb_fast(config, b)]
+    res.check(
+        "convex-t3-min-blockers-are-combs",
+        not bad,
+        f"{len(bad)} of {len(found.blockers)} are not combs",
+        _payload(inst, B=bad[0]) if bad else None,
+    )
+
+
+def _check_theorem4(res: InstanceResult, inst: Instance, config: Config) -> None:
     """Every star or comb that arises as a minimum blocker leaves no
     non-crossing edge cover in its complement, i.e. it blocks every
     simple spanning subgraph."""
-    suite = _convex_suite(params["seed"], params["convex_sizes"], params["max_n"])
-    suite += _random_suite(
-        params["seed"], params["random_count"], params["random_sizes"], params["max_n"]
+    n = config.n
+    candidates: dict[int, EdgeSet] = {}
+    if n <= 7:
+        for b in minimum_blockers(config, SST).blockers:
+            candidates[b.mask] = b
+    if len(config.hull) == n:
+        for b in minimum_blockers(config, T3).blockers:
+            candidates[b.mask] = b
+    stars_and_combs = [b for b in candidates.values() if _star_or_comb(config, b)]
+    bad = [
+        b
+        for b in stars_and_combs
+        if noncrossing_edge_cover(config, b.complement()) is not None
+    ]
+    res.check(
+        "stars-and-combs-block-all-spanning-subgraphs",
+        not bad,
+        f"{len(bad)} of {len(stars_and_combs)} complements still have a cover",
+        _payload(inst, B=bad[0]) if bad else None,
     )
-    results = []
-    for label, inst in suite:
-        res = InstanceResult(label)
-        config = inst.config()
-        n = config.n
-        candidates: dict[int, EdgeSet] = {}
-        if n <= 7:
-            for b in minimum_blockers(config, SST).blockers:
-                candidates[b.mask] = b
-        if len(config.hull) == n:
-            for b in minimum_blockers(config, T3).blockers:
-                candidates[b.mask] = b
-        stars_and_combs = [
-            b
-            for b in candidates.values()
-            if star_center(config, b) is not None or _is_comb_fast(config, b)
-        ]
-        bad = [
-            b
-            for b in stars_and_combs
-            if noncrossing_edge_cover(config, complement(config, b)) is not None
-        ]
-        res.check(
-            "stars-and-combs-block-all-spanning-subgraphs",
-            not bad,
-            f"{len(bad)} of {len(stars_and_combs)} complements still have a cover",
-            _payload(inst, B=bad[0]) if bad else None,
-        )
-        results.append(res)
-    return results
 
 
 def _scenario_fig7(params: dict) -> list[InstanceResult]:
@@ -332,53 +288,6 @@ def _scenario_fig7(params: dict) -> list[InstanceResult]:
             break
     res.check("every-central-edge-candidate-eliminated", eliminated, why)
     return [res]
-
-
-def _sample_separated_pair(
-    config: Config, avoid: EdgeSet, rng: random.Random, attempts: int = 80
-) -> SeparatedPair | None:
-    """Rejection sampling of a valid separated pair: random vertex pair,
-    candidate line through integer points a + k*rot(d), b - k*rot(d)
-    (a tilted cut through the midpoint of [a,b], exactly representable
-    for any coordinates)."""
-    n = config.n
-    pts = config.points
-    for _ in range(attempts):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        if a == b or edge(a, b) in avoid:
-            continue
-        dx = pts[b][0] - pts[a][0]
-        dy = pts[b][1] - pts[a][1]
-        k = rng.choice((1, -1, 2, -2, 3, -3, 8, -8))
-        p = (pts[a][0] - k * dy, pts[a][1] + k * dx)
-        q = (pts[b][0] + k * dy, pts[b][1] - k * dx)
-        pair = SeparatedPair(a, b, (p, q))
-        try:
-            validate_separated_pair(config, avoid, pair)
-        except PreconditionError:
-            continue
-        return pair
-    return None
-
-
-def _find_leaf4_args(config: Config, avoid: EdgeSet) -> tuple[int, int] | None:
-    """First (tip, anchor) in canonical order satisfying the pended-leaf
-    preconditions, or None."""
-    n = config.n
-    if n < 4:
-        return None
-    bd = boundary_edges(config)
-    for tip in sorted(config.hull):
-        for anchor in range(n):
-            if anchor == tip or edge(tip, anchor) not in bd:
-                continue
-            if edge(tip, anchor) in avoid:
-                continue
-            restricted = sum(1 for u, v in avoid if u != tip and v != tip)
-            if restricted <= n - 3:
-                return tip, anchor
-    return None
 
 
 def _check_tree(
@@ -431,7 +340,7 @@ def _scenario_construct_fuzz(params: dict) -> list[InstanceResult]:
                 payload=_payload(inst, B=avoid, T=tree),
             )
 
-        pair = _sample_separated_pair(config, avoid, rng)
+        pair = sample_separated_pair(config, avoid, rng)
         if pair is None:
             res.check("pair-sampled", True, "no valid pair found; skipped")
         else:
@@ -439,7 +348,7 @@ def _scenario_construct_fuzz(params: dict) -> list[InstanceResult]:
             tree = separated_pair_sst3(config, avoid, pair)
             _check_tree(res, "pair", inst, config, tree, avoid, 3)
 
-        args = _find_leaf4_args(config, avoid)
+        args = find_leaf4_args(config, avoid)
         if args is None:
             res.check("leaf4-applicable", True, "no valid tip/anchor; skipped")
         else:
@@ -475,11 +384,11 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 _SCENARIOS: dict[str, Callable[[dict], list[InstanceResult]]] = {
-    "prop_size": _scenario_prop_size,
-    "theorem1": _scenario_theorem1,
-    "theorem2": _scenario_theorem2,
-    "theorem3": _scenario_theorem3,
-    "theorem4": _scenario_theorem4,
+    "prop_size": _suite_scenario(_check_prop_size),
+    "theorem1": _suite_scenario(_check_theorem1),
+    "theorem2": _suite_scenario(_check_theorem2),
+    "theorem3": _suite_scenario(_check_theorem3),
+    "theorem4": _suite_scenario(_check_theorem4),
     "fig7": _scenario_fig7,
     "construct_fuzz": _scenario_construct_fuzz,
 }

@@ -1,7 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+from sstlab import cli
 from sstlab.cli import main
 from sstlab.fixtures import fig7_instance
 from sstlab.instances import emit_instance
@@ -195,3 +198,16 @@ class TestErrors:
         path.write_text(emit_instance(random_instance(11, 0)), encoding="utf-8")
         code, _, err = run(capsys, "enumerate", "-i", str(path))
         assert code == 2 and "force" in err
+
+
+def test_cli_imports_only_public_names():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "sstlab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

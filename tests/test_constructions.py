@@ -20,10 +20,10 @@ from sstlab import (
     separated_pair_sst3,
     validate_separated_pair,
 )
+from sstlab.constructions import find_leaf4_args, sample_separated_pair
 from sstlab.enumeration import Family
 from sstlab.graph import component_labels, edge_pairs
 from sstlab.instances import random_instance
-from sstlab.scenarios import _find_leaf4_args, _sample_separated_pair
 
 
 def assert_sst3(config, tree, avoid, max_diameter=3):
@@ -158,7 +158,7 @@ class TestSeparatedPair:
         avoid = EdgeSet.from_pairs(
             n, rng.sample(edge_pairs(n), rng.randint(0, n - 2))
         )
-        pair = _sample_separated_pair(config, avoid, rng)
+        pair = sample_separated_pair(config, avoid, rng)
         if pair is None:
             return
         tree = separated_pair_sst3(config, avoid, pair)
@@ -197,7 +197,7 @@ class TestBoundaryLeaf:
         avoid = EdgeSet.from_pairs(
             n, rng.sample(edge_pairs(n), rng.randint(0, n - 2))
         )
-        args = _find_leaf4_args(config, avoid)
+        args = find_leaf4_args(config, avoid)
         if args is None:
             return
         tree = boundary_leaf_sst4(config, avoid, *args)

@@ -17,7 +17,6 @@ from sstlab import (
     SizeGuardError,
     analyze_tree,
     blocks,
-    complement,
     enumerate_ssts,
     minimum_blockers,
     noncrossing_edge_cover,
@@ -216,7 +215,7 @@ class TestBlocks:
         config = random_instance(n, seed).config()
         m = n * (n - 1) // 2
         b = EdgeSet(n, raw % (1 << m))
-        allowed = complement(config, b)
+        allowed = b.complement()
         members_in_complement = [
             t
             for t in brute_ssts(config)
@@ -254,6 +253,24 @@ class TestEdgeCover:
             for u, v in cover:
                 touched |= {u, v}
             assert touched == set(range(n))
+
+    @given(st.integers(0, 100), st.integers(4, 6), st.integers(0, 1 << 15))
+    @settings(max_examples=60, deadline=None)
+    def test_no_cover_iff_subset_scan_finds_none(self, seed, n, raw):
+        # An inclusion-minimal edge cover is a star forest, so it has at
+        # most n-1 edges, and a subset of a non-crossing set is
+        # non-crossing: scanning the subsets of h up to n-1 edges decides
+        # whether any non-crossing cover exists.
+        config = random_instance(n, seed).config()
+        m = n * (n - 1) // 2
+        h = EdgeSet(n, raw % (1 << m))
+        exists = any(
+            {v for e in sub for v in e} == set(range(n))
+            and _is_simple(config.points, sub)
+            for k in range(1, n)
+            for sub in combinations(h.pairs(), k)
+        )
+        assert (noncrossing_edge_cover(config, h) is None) == (not exists)
 
 
 class TestMinimumBlockers:

@@ -6,8 +6,6 @@ from sstlab import (
     EdgeSet,
     analyze_tree,
     boundary_edges,
-    complement,
-    complete_edges,
     is_noncrossing,
 )
 from sstlab.graph import component_labels, edge_pairs
@@ -72,7 +70,7 @@ class TestCompleteAndBoundary:
     @pytest.mark.parametrize("n,count", [(3, 3), (4, 6), (7, 21)])
     def test_complete_count(self, n, count):
         inst = random_instance(n, seed=n)
-        assert len(complete_edges(inst.config())) == count
+        assert len(EdgeSet.complete(inst.config().n)) == count
 
     def test_square_boundary(self, square):
         assert boundary_edges(square).pairs() == ((0, 1), (0, 3), (1, 2), (2, 3))
@@ -82,7 +80,7 @@ class TestCompleteAndBoundary:
         assert bd.pairs() == ((0, 1), (0, 3), (1, 2), (2, 3))
 
     def test_triangle_all_edges(self, triangle):
-        assert boundary_edges(triangle) == complete_edges(triangle)
+        assert boundary_edges(triangle) == EdgeSet.complete(triangle.n)
 
     @given(st.integers(0, 500), st.integers(4, 8))
     @settings(max_examples=30, deadline=None)
@@ -90,7 +88,7 @@ class TestCompleteAndBoundary:
         config = random_instance(n, seed).config()
         bd = boundary_edges(config)
         assert len(bd) == len(config.hull)
-        full = complete_edges(config)
+        full = EdgeSet.complete(config.n)
         for u, v in bd:
             single = EdgeSet.from_pairs(config.n, [(u, v)])
             for c, d in full - single:
@@ -115,11 +113,11 @@ class TestIsNoncrossing:
 
 class TestComplement:
     def test_k3(self, triangle):
-        c = complement(triangle, triangle.edge_set([(0, 1)]))
+        c = triangle.edge_set([(0, 1)]).complement()
         assert c.pairs() == ((0, 2), (1, 2))
 
     def test_k4(self, square):
-        c = complement(square, square.edge_set([(0, 1), (1, 2), (1, 3)]))
+        c = square.edge_set([(0, 1), (1, 2), (1, 3)]).complement()
         assert c.pairs() == ((0, 2), (0, 3), (2, 3))
 
     @given(st.integers(0, 10**6))
