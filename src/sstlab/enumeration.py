@@ -1,11 +1,13 @@
 """Brute-force ground truth for blocking questions.
 
 Everything here is exhaustive and deterministic: enumerate the
-non-crossing spanning trees (optionally diameter-bounded), decide
-whether an edge set blocks a family, and find all minimum blockers as
-the minimum hitting sets of the family.  Family members are materialized
-as edge bit masks so a blocking test is a disjointness scan with early
-exit.
+non-crossing spanning trees, decide whether an edge set blocks a
+family, and find all minimum blockers as the minimum hitting sets of
+the family.  All trees come from a recursion over the canonical edge
+list; a diameter-bounded family is grown around the centres of its
+trees instead of filtered out of all of them.  Family members are
+materialized as edge bit masks so a blocking test is a disjointness
+scan with early exit.
 
 Size guards keep misuse loud: enumeration is capped at n <= 10 and the
 minimum-blocker search at n <= 8, both overridable with force=True.
@@ -13,7 +15,6 @@ minimum-blocker search at n <= 8, both overridable with force=True.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -25,7 +26,6 @@ from .graph import (
     crossing_masks,
     edge_index,
     edge_pairs,
-    star,
 )
 
 ENUMERATE_MAX_N = 10
@@ -95,33 +95,6 @@ def _guard(n: int, bound: int, force: bool, what: str) -> None:
         )
 
 
-def _tree_diameter(n: int, edge_ids: list[int], pairs) -> int:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in edge_ids:
-        u, v = pairs[i]
-        adj[u].append(v)
-        adj[v].append(u)
-
-    def sweep(start: int) -> tuple[int, int]:
-        dist = [-1] * n
-        dist[start] = 0
-        queue = deque([start])
-        far, best = start, 0
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    if dist[w] > best:
-                        far, best = w, dist[w]
-                    queue.append(w)
-        return far, best
-
-    far, _ = sweep(0)
-    _, diameter = sweep(far)
-    return diameter
-
-
 def _iter_tree_masks(config: Config) -> Iterator[int]:
     """All non-crossing spanning trees as masks, by recursive edge
     inclusion over the canonical edge list.
@@ -162,66 +135,75 @@ def _iter_tree_masks(config: Config) -> Iterator[int]:
     yield from rec(0, 0, 0, 0, list(range(n)))
 
 
-def _diam_le3_masks(config: Config, max_diameter: int) -> list[int]:
-    """Direct construction of all non-crossing spanning trees of
-    diameter <= 3: the n stars, plus one tree per (central edge,
-    two-sided vertex split) that survives the crossing filter.
+def _centred_masks(config: Config, k: int) -> list[int]:
+    """All non-crossing spanning trees of diameter <= k, grown around
+    their centres, in canonical order.
 
-    Equivalent to filtering the generic enumeration; kept because the
-    fuzz harnesses enumerate thousands of small instances.
+    Every vertex of such a tree lies within k // 2 steps of a centre: a
+    vertex when k is even, an edge when k is odd.  From each candidate
+    centre the tree grows in BFS layers; each vertex not yet placed
+    either hangs on a vertex of the newest layer, through an edge that
+    crosses no chosen edge, or waits for a deeper layer, until depth
+    k // 2 where no vertex may wait.  A tree with several admissible
+    centres is grown once from each, hence the set.
     """
     n = config.n
     cross = crossing_masks(config)
-    out = [star(n, v).mask for v in range(n)]
-    if max_diameter >= 3:
-        pairs = edge_pairs(n)
-        for ei, (x, y) in enumerate(pairs):
-            others = [v for v in range(n) if v != x and v != y]
-            rest = len(others)
-            for split in range(1, (1 << rest) - 1):
-                mask = 1 << ei
-                ok = True
-                for t, v in enumerate(others):
-                    hub = y if (split >> t) & 1 else x
-                    idx = edge_index(n, hub, v)
-                    if cross[idx] & mask:
-                        ok = False
-                        break
-                    mask |= 1 << idx
-                if ok:
-                    out.append(mask)
-    out.sort(key=bits)
-    return out
-
-
-def _compute_family_masks(config: Config, max_diameter: int | None) -> Iterator[int]:
-    if max_diameter is not None and max_diameter < 2:
-        return
-    if max_diameter is not None and max_diameter <= 3:
-        yield from _diam_le3_masks(config, max_diameter)
-        return
-    n = config.n
     pairs = edge_pairs(n)
-    if max_diameter is None or max_diameter >= n - 1:
-        yield from _iter_tree_masks(config)
-        return
-    for mask in _iter_tree_masks(config):
-        if _tree_diameter(n, bits(mask), pairs) <= max_diameter:
-            yield mask
+    index = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        index[u][v] = index[v][u] = i
+    radius = k // 2
+    found: set[int] = set()
+
+    def grow(mask: int, layer: list[int], waiting: list[int], depth: int) -> None:
+        if not waiting:
+            found.add(mask)
+            return
+        if depth >= radius:
+            return
+        may_wait = depth + 1 < radius
+
+        def place(j: int, mask: int, placed: list[int], left: list[int]) -> None:
+            if j == len(waiting):
+                if placed:
+                    grow(mask, placed, left, depth + 1)
+                return
+            v = waiting[j]
+            hung = placed + [v]
+            for u in layer:
+                i = index[u][v]
+                if not cross[i] & mask:
+                    place(j + 1, mask | (1 << i), hung, left)
+            if may_wait:
+                place(j + 1, mask, placed, left + [v])
+
+        place(0, mask, [], [])
+
+    if k % 2 == 0:
+        for c in range(n):
+            grow(0, [c], [v for v in range(n) if v != c], 0)
+    else:
+        for i, (x, y) in enumerate(pairs):
+            grow(1 << i, [x, y], [v for v in range(n) if v != x and v != y], 0)
+    return sorted(found, key=bits)
 
 
 @lru_cache(maxsize=64)
 def _family_masks(config: Config, max_diameter: int | None) -> tuple[int, ...]:
-    return tuple(_compute_family_masks(config, max_diameter))
+    if max_diameter is None or max_diameter >= config.n - 1:
+        return tuple(_iter_tree_masks(config))
+    return tuple(_centred_masks(config, max_diameter))
 
 
 def _iter_family_masks(config: Config, max_diameter: int | None) -> Iterator[int]:
-    """Lazy family scan: the cheap diameter-<=3 families come from the
-    cache, larger ones stream from the recursion so early exits pay off."""
-    if max_diameter is not None and max_diameter <= 3:
-        yield from _family_masks(config, max_diameter)
-    else:
-        yield from _compute_family_masks(config, max_diameter)
+    """Family scan for blocks(): every diameter-bounded family comes
+    from the cache, and only the SST family (no bound, or a bound of at
+    least n - 1) streams from the recursion, so that a single query
+    exits early where listing every member costs the most."""
+    if max_diameter is None or max_diameter >= config.n - 1:
+        return _iter_tree_masks(config)
+    return iter(_family_masks(config, max_diameter))
 
 
 def enumerate_ssts(
@@ -247,10 +229,11 @@ def blocks(config: Config, b: EdgeSet, family: Family, force: bool = False) -> B
     complement: an avoiding member exists iff the complement contains a
     non-crossing edge set covering every vertex.
 
-    t3 and smaller families come from a cache, but t4 and sst re-run
-    the SST recursion on every call, so early exit pays off for a single
-    query.  A caller asking about many sets should list the members once
-    with enumerate_ssts and scan them.
+    Families with a diameter bound below n - 1 come from a cache filled
+    once per configuration and bound.  sst, like any bound of n - 1 or
+    more, re-runs the SST recursion on every call, so early exit pays
+    off for a single query; a caller asking about many sets should list
+    the members once with enumerate_ssts and scan them.
     """
     if b.n != config.n:
         raise ValueError("edge set belongs to a different vertex count")

@@ -177,6 +177,7 @@ def star(n: int, center: int) -> EdgeSet:
     return EdgeSet.from_pairs(n, ((center, v) for v in range(n) if v != center))
 
 
+@lru_cache(maxsize=64)
 def boundary_edges(config: Config) -> EdgeSet:
     """Edges whose endpoints are consecutive on the hull cycle."""
     h = config.hull

@@ -143,17 +143,19 @@ class TestEnumerate:
             by_diam |= {t.pairs() for t in enumerate_ssts(pentagon, max_diameter=k)}
         assert by_diam == {t.pairs() for t in everything}
 
-    @given(st.integers(0, 200), st.integers(4, 7))
-    @settings(max_examples=20, deadline=None)
-    def test_diam3_fast_path_equals_filtered_recursion(self, seed, n):
-        config = random_instance(n, seed).config()
-        fast = enumerate_ssts(config, max_diameter=3)
-        slow = [
-            t
-            for t in enumerate_ssts(config)
-            if analyze_tree(config, t).diameter <= 3
-        ]
-        assert fast == slow
+    @given(st.integers(0, 200))
+    @settings(max_examples=5, deadline=None)
+    def test_centred_generator_equals_filtered_recursion(self, seed):
+        # every bound, including the empty families below 2, against the
+        # unbounded recursion filtered by analyze_tree's diameter
+        for kind, make in _INSTANCES.items():
+            for n in range(4, 8):
+                config = make(n, seed).config()
+                everything = enumerate_ssts(config)
+                diameters = [analyze_tree(config, t).diameter for t in everything]
+                for k in range(-1, n):
+                    slow = [t for t, d in zip(everything, diameters) if d <= k]
+                    assert enumerate_ssts(config, max_diameter=k) == slow, (kind, n, k)
 
     def test_diameter_2_is_stars(self, pentagon):
         trees = enumerate_ssts(pentagon, max_diameter=2)
@@ -185,11 +187,17 @@ class TestBlocks:
         report = blocks(square, square.edge_set([(0, 1), (1, 2), (2, 3)]), SST)
         assert report.blocks
 
-    def test_witness_is_canonically_smallest(self, pentagon):
-        b = pentagon.edge_set([(0, 1)])
-        report = blocks(pentagon, b, SST)
-        avoiding = [t for t in enumerate_ssts(pentagon) if t.isdisjoint(b)]
-        assert report.witness == avoiding[0]
+    @pytest.mark.parametrize("family", [T3, T4, SST], ids=Family.describe)
+    @pytest.mark.parametrize("instance", ["pentagon", "random"])
+    def test_witness_is_canonically_smallest(self, request, instance, family):
+        if instance == "pentagon":
+            config = request.getfixturevalue("pentagon")
+        else:
+            config = random_instance(7, seed=2).config()
+        b = config.edge_set([(0, 1)])
+        report = blocks(config, b, family)
+        members = enumerate_ssts(config, max_diameter=family.k)
+        assert report.witness == next(t for t in members if t.isdisjoint(b))
 
     @given(st.integers(0, 100), st.integers(4, 6), st.integers(0, 1 << 15))
     @settings(max_examples=40, deadline=None)
