@@ -41,6 +41,7 @@ from .classify import (
     CombFailure,
     classify,
     comb_certificate,
+    comb_masks,
     is_star,
     star_center,
 )

@@ -5,7 +5,8 @@ edges, whose off-spine vertices attach by unique edges to interior
 spine vertices, and whose edges span lines that cross no other comb
 edge.  The recognizer returns either a full certificate (spine, tooth
 assignment, per-edge line clearances) or the list of violated
-conditions.
+conditions.  comb_masks lists every comb of a configuration by building
+it from the definition, not by testing trees.
 
 The boundary intersection is read edge-wise: only the comb edges lying
 on hull edges form the spine.  Vertices that merely sit on the hull
@@ -17,8 +18,9 @@ would reject valid combs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .graph import Config, Edge, EdgeSet, boundary_edges, walk_path
+from .graph import Config, Edge, EdgeSet, boundary_edges, edge_index, edge_pairs, walk_path
 from .geometry import line_meets_open_segment
 
 
@@ -31,9 +33,6 @@ class CombCertificate:
 
     def __bool__(self) -> bool:
         return True
-
-    def teeth_map(self) -> dict[int, Edge]:
-        return dict(self.teeth)
 
 
 @dataclass(frozen=True)
@@ -174,41 +173,38 @@ def comb_certificate(config: Config, b: EdgeSet) -> CombCertificate | CombFailur
     )
 
 
-def _is_comb_fast(config: Config, b: EdgeSet) -> bool:
-    """Boolean-only comb test with early exits; equals bool(comb_certificate).
+@lru_cache(maxsize=64)
+def comb_masks(config: Config) -> frozenset[int]:
+    """The edge masks of every comb: each spine is a hull arc of
+    2..h-1 boundary edges, each off-spine vertex picks one interior
+    spine vertex, and a tooth is kept only if condition 3 holds both
+    ways between it and the edges already chosen.  The line of a hull
+    edge meets no open segment, so only the teeth need the test."""
+    n, pts, pairs = config.n, config.points, edge_pairs(config.n)
+    clash = [0] * len(pairs)
+    for i, (a, b) in enumerate(pairs):
+        for j, (c, d) in enumerate(pairs):
+            if line_meets_open_segment(pts[a], pts[b], pts[c], pts[d]):
+                clash[i] |= 1 << j
+                clash[j] |= 1 << i
+    found: set[int] = set()
 
-    Exists because theorem sweeps classify every non-crossing spanning
-    tree of a configuration, where collecting failure reasons would
-    dominate.
-    """
-    n = config.n
-    spine, spine_set, why = _spine_path(config, b)
-    if spine is None:
-        return False
-    interior = set(spine[1:-1])
-    on_spine = set(spine)
-    tips: set[int] = set()
-    for u, v in b - spine_set:
-        if u in on_spine and v in on_spine:
-            return False
-        if u in on_spine or v in on_spine:
-            tip, other = (v, u) if v not in on_spine else (u, v)
-            if other not in interior or tip in tips:
-                return False
-            tips.add(tip)
-        else:
-            return False
-    if len(tips) != n - len(on_spine):
-        return False
-    pts = config.points
-    members = b.pairs()
-    for ea, eb in members:
-        for fa, fb in members:
-            if (ea, eb) == (fa, fb):
-                continue
-            if line_meets_open_segment(pts[ea], pts[eb], pts[fa], pts[fb]):
-                return False
-    return True
+    def attach(mask: int, interior: list[int], off: list[int]) -> None:
+        if not off:
+            found.add(mask)
+            return
+        for u in interior:
+            i = edge_index(n, u, off[0])
+            if not clash[i] & mask:
+                attach(mask | (1 << i), interior, off[1:])
+
+    hull, h = config.hull, len(config.hull)
+    for start in range(h):
+        for length in range(2, h):
+            spine = [hull[(start + k) % h] for k in range(length + 1)]
+            mask = sum(1 << edge_index(n, a, b) for a, b in zip(spine, spine[1:]))
+            attach(mask, spine[1:-1], [v for v in range(n) if v not in spine])
+    return frozenset(found)
 
 
 def classify(config: Config, b: EdgeSet) -> ClassifyResult:

@@ -7,7 +7,8 @@ the family.  All trees come from a recursion over the canonical edge
 list; a diameter-bounded family is grown around the centres of its
 trees instead of filtered out of all of them.  Family members are
 materialized as edge bit masks so a blocking test is a disjointness
-scan with early exit.
+scan with early exit, and the hitting-set search carries the bit set
+of members not yet hit down its recursion instead of rebuilding it.
 
 Size guards keep misuse loud: enumeration is capped at n <= 10 and the
 minimum-blocker search at n <= 8, both overridable with force=True.
@@ -284,48 +285,49 @@ def noncrossing_edge_cover(config: Config, h: EdgeSet) -> EdgeSet | None:
     return None if mask is None else EdgeSet(n, mask)
 
 
-def _member_index(members: tuple[int, ...], m: int) -> list[int]:
-    """hits[e]: bit j is set when edge e lies in members[j]."""
+def _avoid_index(members: tuple[int, ...], m: int) -> list[int]:
+    """avoid[e]: bit j is set when edge e is not in members[j]."""
     rows = [bytearray((len(members) + 7) >> 3) for _ in range(m)]
     for j, mask in enumerate(members):
         for e in bits(mask):
             rows[e][j >> 3] |= 1 << (j & 7)
-    return [int.from_bytes(row, "little") for row in rows]
+    everyone = (1 << len(members)) - 1
+    return [everyone ^ int.from_bytes(row, "little") for row in rows]
 
 
 @lru_cache(maxsize=64)
 def _minimum_blockers_impl(config: Config, family: Family) -> MinimumBlockers:
     n = config.n
+    m = len(edge_pairs(n))
     if family.kind == "spanning_subgraphs":
+        # members are never listed, so unhit stays empty
+        avoid, everyone = [0] * m, 0
 
-        def missed(chosen: int) -> int:
+        def missed(chosen: int, unhit: int) -> int:
             cover = noncrossing_edge_cover(config, EdgeSet(n, chosen).complement())
             return 0 if cover is None else cover.mask
 
     else:
         members = _family_masks(config, _family_diameter(family))
-        hits = _member_index(members, len(edge_pairs(n)))
+        avoid = _avoid_index(members, m)
         everyone = (1 << len(members)) - 1
 
-        def missed(chosen: int) -> int:
-            unhit = everyone
-            for e in bits(chosen):
-                unhit &= ~hits[e]
+        def missed(chosen: int, unhit: int) -> int:
             return members[(unhit & -unhit).bit_length() - 1] if unhit else 0
 
     found: list[int] = []
 
-    def search(chosen: int, excluded: int, budget: int) -> None:
-        member = missed(chosen)
+    def search(chosen: int, unhit: int, excluded: int, budget: int) -> None:
+        member = missed(chosen, unhit)
         if not member:
             found.append(chosen)
         elif budget:
             for e in bits(member & ~excluded):
-                search(chosen | (1 << e), excluded, budget - 1)
+                search(chosen | (1 << e), unhit & avoid[e], excluded, budget - 1)
                 excluded |= 1 << e
 
-    for size in range(1, len(edge_pairs(n)) + 1):
-        search(0, 0, size)
+    for size in range(1, m + 1):
+        search(0, everyone, 0, size)
         if found:
             found.sort(key=bits)
             return MinimumBlockers(size, tuple(EdgeSet(n, mask) for mask in found))
@@ -339,7 +341,10 @@ def minimum_blockers(config: Config, family: Family, force: bool = False) -> Min
     Iterative deepening on the size k: the search branches on the edges
     of a member the partial set misses (for SSS, the edge cover of its
     complement) and excludes the edges of earlier siblings, so at the
-    first k with a hit it reaches each size-k blocker exactly once."""
+    first k with a hit it reaches each size-k blocker exactly once.
+    Each branch passes down unhit, the members its set still misses,
+    minus those holding the new edge; the next member is its lowest
+    bit."""
     _guard(config.n, MIN_BLOCKERS_MAX_N, force, "minimum-blocker search")
     if family.kind != "spanning_subgraphs":
         _guard(config.n, ENUMERATE_MAX_N, force, "enumeration")

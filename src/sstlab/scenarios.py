@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .classify import _is_comb_fast, classify, star_center
+from .classify import classify, comb_certificate, comb_masks, star_center
 from .constructions import (
     boundary_leaf_sst4,
     central_edge_obstruction,
@@ -37,6 +37,7 @@ from .graph import (
     analyze_tree,
     edge_pairs,
     is_noncrossing,
+    star,
 )
 from .instances import Instance, convex_instance, emit_instance, random_instance
 
@@ -146,7 +147,7 @@ def _payload(instance: Instance, **edge_sets: EdgeSet) -> Instance:
 
 
 def _star_or_comb(config: Config, b: EdgeSet) -> bool:
-    return star_center(config, b) is not None or _is_comb_fast(config, b)
+    return star_center(config, b) is not None or bool(comb_certificate(config, b))
 
 
 def _check_prop_size(res: InstanceResult, inst: Instance, config: Config) -> None:
@@ -160,13 +161,9 @@ def _check_prop_size(res: InstanceResult, inst: Instance, config: Config) -> Non
 
 
 def _classified_masks(config: Config) -> set[int]:
-    """Masks of all size-(n-1) edge subsets classifying star or comb.
-
-    Only the non-crossing spanning trees are classified: a star is one,
-    and so is a comb, a spanning caterpillar whose condition 3 (no edge's
-    line meets another edge's open segment) rules out crossings.
-    """
-    return {b.mask for b in enumerate_ssts(config) if _star_or_comb(config, b)}
+    """Masks of all stars and combs, generated from their definitions
+    (the n stars and classify.comb_masks), not filtered out of the SSTs."""
+    return {star(config.n, c).mask for c in range(config.n)} | comb_masks(config)
 
 
 def _check_theorem1(res: InstanceResult, inst: Instance, config: Config) -> None:
@@ -208,7 +205,7 @@ def _check_theorem2(res: InstanceResult, inst: Instance, config: Config) -> None
 
 def _check_theorem3(res: InstanceResult, inst: Instance, config: Config) -> None:
     found = minimum_blockers(config, T3)
-    bad = [b for b in found.blockers if not _is_comb_fast(config, b)]
+    bad = [b for b in found.blockers if not comb_certificate(config, b)]
     res.check(
         "convex-t3-min-blockers-are-combs",
         not bad,

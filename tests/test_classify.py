@@ -10,13 +10,14 @@ from sstlab import (
     blocks,
     classify,
     comb_certificate,
+    comb_masks,
+    enumerate_ssts,
     is_noncrossing,
     is_star,
     minimum_blockers,
     orient,
     star_center,
 )
-from sstlab.classify import _is_comb_fast
 from sstlab.instances import convex_instance, random_instance
 
 
@@ -126,13 +127,18 @@ class TestClassify:
         assert not result.is_star and not result.is_comb
         assert result.failure_reasons
 
-    @given(st.integers(0, 150), st.integers(4, 6), st.integers(0, 1 << 15))
+    @given(
+        st.integers(0, 150), st.integers(4, 6), st.integers(0, 1 << 15), st.integers(0, 1 << 15)
+    )
     @settings(max_examples=60, deadline=None)
-    def test_fast_path_matches_certificate(self, seed, n, raw):
+    def test_fast_path_matches_certificate(self, seed, n, raw, pick):
+        # an arbitrary edge subset, and a tree from enumerate_ssts, where
+        # accepted combs occur
         config = random_instance(n, seed).config()
         m = n * (n - 1) // 2
-        b = EdgeSet(n, raw % (1 << m))
-        assert _is_comb_fast(config, b) == bool(comb_certificate(config, b))
+        trees = enumerate_ssts(config)
+        for b in (EdgeSet(n, raw % (1 << m)), trees[pick % len(trees)]):
+            assert (b.mask in comb_masks(config)) == bool(comb_certificate(config, b))
 
     @given(st.integers(0, 150), st.integers(4, 6))
     @settings(max_examples=25, deadline=None)
@@ -161,7 +167,7 @@ class TestAgainstOracle:
             for i in combo:
                 mask |= 1 << i
             b = EdgeSet(n, mask)
-            if is_star(config, b) or _is_comb_fast(config, b):
+            if is_star(config, b) or comb_certificate(config, b):
                 found += 1
                 assert blocks(config, b, Family.spanning_subgraphs()).blocks
         assert found >= n  # at least the stars
@@ -170,13 +176,13 @@ class TestAgainstOracle:
     def test_t4_blocker_implies_star_or_comb(self, n, seed):
         config = random_instance(n, seed).config()
         for b in minimum_blockers(config, Family.trees_diam_at_most(4)).blockers:
-            assert is_star(config, b) or _is_comb_fast(config, b)
+            assert is_star(config, b) or comb_certificate(config, b)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_convex_t3_blocker_implies_comb(self, n):
         config = convex_instance(n, seed=5 + n).config()
         for b in minimum_blockers(config, Family.trees_diam_at_most(3)).blockers:
-            assert _is_comb_fast(config, b)
+            assert comb_certificate(config, b)
 
     @pytest.mark.parametrize("n,seed", [(5, 31), (6, 32)])
     def test_leaf_pair_quadrilateral_property(self, n, seed):

@@ -5,8 +5,8 @@ import pytest
 
 import sstlab.scenarios as scenarios
 from sstlab import EdgeSet, parse_instance
-from sstlab.classify import _is_comb_fast, star_center
-from sstlab.enumeration import MinimumBlockers
+from sstlab.classify import comb_certificate, star_center
+from sstlab.enumeration import MinimumBlockers, enumerate_ssts
 from sstlab.instances import convex_instance, random_instance
 from sstlab.scenarios import run_scenario, scenario_names
 
@@ -127,6 +127,18 @@ class TestClassifiedMasks:
         expected = set()
         for combo in combinations(range(m), n - 1):
             b = EdgeSet(n, sum(1 << i for i in combo))
-            if star_center(config, b) is not None or _is_comb_fast(config, b):
+            if star_center(config, b) is not None or comb_certificate(config, b):
                 expected.add(b.mask)
+        assert scenarios._classified_masks(config) == expected
+
+    @pytest.mark.parametrize("make", [random_instance, convex_instance])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_sst_classification_n7(self, make, seed):
+        # every star and comb is a non-crossing spanning tree
+        config = make(7, seed).config()
+        expected = {
+            b.mask
+            for b in enumerate_ssts(config)
+            if star_center(config, b) is not None or comb_certificate(config, b)
+        }
         assert scenarios._classified_masks(config) == expected
