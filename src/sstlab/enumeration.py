@@ -4,11 +4,13 @@ Everything here is exhaustive and deterministic: enumerate the
 non-crossing spanning trees, decide whether an edge set blocks a
 family, and find all minimum blockers as the minimum hitting sets of
 the family.  All trees come from a recursion over the canonical edge
-list; a diameter-bounded family is grown around the centres of its
-trees instead of filtered out of all of them.  Family members are
-materialized as edge bit masks so a blocking test is a disjointness
-scan with early exit, and the hitting-set search carries the bit set
-of members not yet hit down its recursion instead of rebuilding it.
+list, restricted to an allowed edge mask: an edge set blocks the SST
+family iff the recursion over its complement finds no tree.  A
+diameter-bounded family is grown around the centres of its trees
+instead of filtered out of all of them and materialized as edge bit
+masks, so its blocking test is a disjointness scan with early exit;
+the hitting-set search carries the bit set of members not yet hit down
+its recursion instead of rebuilding it.
 
 Size guards keep misuse loud: enumeration is capped at n <= 10 and the
 minimum-blocker search at n <= 8, both overridable with force=True.
@@ -25,7 +27,6 @@ from .graph import (
     EdgeSet,
     bits,
     crossing_masks,
-    edge_index,
     edge_pairs,
 )
 
@@ -96,24 +97,28 @@ def _guard(n: int, bound: int, force: bool, what: str) -> None:
         )
 
 
-def _iter_tree_masks(config: Config) -> Iterator[int]:
-    """All non-crossing spanning trees as masks, by recursive edge
-    inclusion over the canonical edge list.
+def _iter_tree_masks(config: Config, allowed: int) -> Iterator[int]:
+    """All non-crossing spanning trees made of edges in the allowed
+    mask, by recursive edge inclusion over the canonical edge list.
 
-    Include is tried before exclude, so trees come out in ascending
-    lexicographic order of their edge-index tuples.  Pruning: cycle
-    avoidance via component labels, incremental crossing rejection, a
-    count bound on remaining edges, and a last-chance check that skips
-    branches leaving a vertex permanently uncovered.
+    Include is tried before exclude, and only for allowed edges, so
+    trees come out in ascending lexicographic order of their edge-index
+    tuples.  Pruning: cycle avoidance via component labels, incremental
+    crossing rejection, a count bound on remaining edges, and a
+    last-chance check that skips branches excluding the last allowed
+    edge at a vertex not yet covered.
     """
     n = config.n
     pairs = edge_pairs(n)
     m = len(pairs)
     cross = crossing_masks(config)
     target = n - 1
-    last_chance = [
-        edge_index(n, v, n - 1) if v < n - 1 else m - 1 for v in range(n)
-    ]
+    last_chance = [-1] * n
+    for i in bits(allowed):
+        u, v = pairs[i]
+        last_chance[u] = last_chance[v] = i
+    if -1 in last_chance:
+        return
 
     def rec(i: int, count: int, mask: int, covered: int, comp: list[int]):
         if count == target:
@@ -123,7 +128,7 @@ def _iter_tree_masks(config: Config) -> Iterator[int]:
             return
         u, v = pairs[i]
         cu, cv = comp[u], comp[v]
-        if cu != cv and not (cross[i] & mask):
+        if cu != cv and (allowed >> i) & 1 and not (cross[i] & mask):
             merged = [cu if c == cv else c for c in comp]
             yield from rec(
                 i + 1, count + 1, mask | (1 << i), covered | (1 << u) | (1 << v), merged
@@ -193,18 +198,8 @@ def _centred_masks(config: Config, k: int) -> list[int]:
 @lru_cache(maxsize=64)
 def _family_masks(config: Config, max_diameter: int | None) -> tuple[int, ...]:
     if max_diameter is None or max_diameter >= config.n - 1:
-        return tuple(_iter_tree_masks(config))
+        return tuple(_iter_tree_masks(config, EdgeSet.complete(config.n).mask))
     return tuple(_centred_masks(config, max_diameter))
-
-
-def _iter_family_masks(config: Config, max_diameter: int | None) -> Iterator[int]:
-    """Family scan for blocks(): every diameter-bounded family comes
-    from the cache, and only the SST family (no bound, or a bound of at
-    least n - 1) streams from the recursion, so that a single query
-    exits early where listing every member costs the most."""
-    if max_diameter is None or max_diameter >= config.n - 1:
-        return _iter_tree_masks(config)
-    return iter(_family_masks(config, max_diameter))
 
 
 def enumerate_ssts(
@@ -224,17 +219,14 @@ def _family_diameter(family: Family) -> int | None:
 def blocks(config: Config, b: EdgeSet, family: Family, force: bool = False) -> BlockReport:
     """Does b share an edge with every member of the family?
 
-    Tree families scan the enumeration with early exit, returning the
-    first (canonically smallest) avoiding member as witness.  The
+    Equivalently: does the complement of b contain no member?  sst, like
+    any diameter bound of n - 1 or more, runs the SST recursion over the
+    complement's edges only and stops at the first tree.  A smaller
+    bound scans its cached member list with early exit.  Either way the
+    witness is the first (canonically smallest) avoiding member.  The
     spanning-subgraph family reduces to an edge-cover search on the
     complement: an avoiding member exists iff the complement contains a
     non-crossing edge set covering every vertex.
-
-    Families with a diameter bound below n - 1 come from a cache filled
-    once per configuration and bound.  sst, like any bound of n - 1 or
-    more, re-runs the SST recursion on every call, so early exit pays
-    off for a single query; a caller asking about many sets should list
-    the members once with enumerate_ssts and scan them.
     """
     if b.n != config.n:
         raise ValueError("edge set belongs to a different vertex count")
@@ -242,11 +234,13 @@ def blocks(config: Config, b: EdgeSet, family: Family, force: bool = False) -> B
         witness = noncrossing_edge_cover(config, b.complement())
         return BlockReport(witness is None, witness)
     _guard(config.n, ENUMERATE_MAX_N, force, "enumeration")
-    bmask = b.mask
-    for mask in _iter_family_masks(config, _family_diameter(family)):
-        if not (mask & bmask):
-            return BlockReport(False, EdgeSet(config.n, mask))
-    return BlockReport(True, None)
+    k = _family_diameter(family)
+    if k is None or k >= config.n - 1:
+        avoiding = _iter_tree_masks(config, b.complement().mask)
+    else:
+        avoiding = (mask for mask in _family_masks(config, k) if not mask & b.mask)
+    mask = next(avoiding, None)
+    return BlockReport(mask is None, None if mask is None else EdgeSet(config.n, mask))
 
 
 def noncrossing_edge_cover(config: Config, h: EdgeSet) -> EdgeSet | None:
@@ -295,7 +289,10 @@ def _avoid_index(members: tuple[int, ...], m: int) -> list[int]:
     return [everyone ^ int.from_bytes(row, "little") for row in rows]
 
 
-@lru_cache(maxsize=64)
+# One `sstlab verify` pass over the default scenarios asks for about 90
+# distinct (config, family) keys, and theorem4 re-asks for results of
+# theorem1, prop_size and theorem3; 64 entries evicted those before reuse.
+@lru_cache(maxsize=256)
 def _minimum_blockers_impl(config: Config, family: Family) -> MinimumBlockers:
     n = config.n
     m = len(edge_pairs(n))

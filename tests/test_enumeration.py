@@ -17,6 +17,7 @@ from sstlab import (
     SizeGuardError,
     analyze_tree,
     blocks,
+    comb_masks,
     enumerate_ssts,
     minimum_blockers,
     noncrossing_edge_cover,
@@ -84,6 +85,10 @@ SST = Family.spanning_trees()
 SSS = Family.spanning_subgraphs()
 
 _INSTANCES = {"random": random_instance, "convex": convex_instance}
+
+
+def _star(n, center):
+    return EdgeSet.from_pairs(n, ((center, v) for v in range(n) if v != center))
 
 
 def _scan_minimum_blockers(config, family):
@@ -198,6 +203,58 @@ class TestBlocks:
         report = blocks(config, b, family)
         members = enumerate_ssts(config, max_diameter=family.k)
         assert report.witness == next(t for t in members if t.isdisjoint(b))
+
+    @given(
+        st.sampled_from(sorted(_INSTANCES)),
+        st.integers(3, 7),
+        st.integers(0, 200),
+        st.sampled_from(["random", "empty", "star", "comb"]),
+        st.integers(0, (1 << 21) - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sst_search_matches_first_disjoint_member(self, kind, n, seed, shape, raw):
+        # the tree search inside the complement against a scan of the
+        # listed family: same verdict and the same canonically first witness
+        config = _INSTANCES[kind](n, seed).config()
+        m = n * (n - 1) // 2
+        if shape == "random":
+            b = EdgeSet(n, raw % (1 << m))
+        elif shape == "empty":
+            b = EdgeSet(n)
+        elif shape == "star":
+            b = _star(n, raw % n)
+        else:
+            combs = sorted(comb_masks(config))
+            b = EdgeSet(n, combs[raw % len(combs)])
+        report = blocks(config, b, SST)
+        first = next((t for t in enumerate_ssts(config) if t.isdisjoint(b)), None)
+        assert (report.blocks, report.witness) == (first is None, first)
+
+    @pytest.mark.parametrize("kind", sorted(_INSTANCES))
+    def test_sst_at_the_top_of_the_guard(self, kind):
+        # n = 10 is the top of the enumeration guard, where listing every
+        # SST costs the most; the search inside the complement of a
+        # blocking star or comb ends early instead.
+        n = 10
+        config = _INSTANCES[kind](n, 1).config()
+        for center in range(n):
+            assert blocks(config, _star(n, center), SST).blocks
+        assert blocks(config, EdgeSet(n, min(comb_masks(config))), SST).blocks
+        # the star at 0 holds edges 0..n-2, the smallest (n-1)-tuple of indices
+        report = blocks(config, EdgeSet(n), SST)
+        assert not report.blocks and report.witness == _star(n, 0)
+
+    @pytest.mark.parametrize("family", [T4, SST], ids=Family.describe)
+    def test_size_guard(self, family):
+        config = random_instance(11, seed=1).config()
+        with pytest.raises(SizeGuardError):
+            blocks(config, _star(11, 0), family)
+
+    def test_size_guard_override(self):
+        # the complement of a star leaves its centre uncovered, so the
+        # search inside it stops before its first branch at any n
+        config = random_instance(11, seed=1).config()
+        assert blocks(config, _star(11, 0), SST, force=True).blocks
 
     @given(st.integers(0, 100), st.integers(4, 6), st.integers(0, 1 << 15))
     @settings(max_examples=40, deadline=None)
